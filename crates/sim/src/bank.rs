@@ -1,4 +1,5 @@
-//! Input buffer banks and their upstream credit mirrors.
+//! Input buffer banks, their upstream credit mirrors, and the packet
+//! arena the banks queue into.
 //!
 //! The same [`Occupancy`] accounting is used for the physical bank at the
 //! downstream router and for the credit counters at the upstream router, so
@@ -14,6 +15,12 @@
 //!   consume the shared pool. With 0% private reservation a single VC can
 //!   absorb the whole port and deadlock the network (Fig. 10); the paper's
 //!   reference DAMQ reserves 75% privately.
+//!
+//! Packets themselves live in one [`PacketArena`] per engine instance: a
+//! slab written once per packet, with a LIFO free list. A bank's per-VC
+//! FIFOs link 4-byte handles through the arena, so a bank costs a few
+//! words per VC no matter how deep it is, and the arena grows only to the
+//! engine's high-water mark of live packets.
 
 use crate::packet::Packet;
 use flexvc_core::{CreditClass, SplitOccupancy};
@@ -196,33 +203,119 @@ impl Occupancy {
     }
 }
 
-/// Sentinel for "no slot" in the intrusive FIFO links.
-const NIL: u32 = u32::MAX;
+/// Handle of a packet in its engine's [`PacketArena`]. Handles are
+/// storage only: they are recycled LIFO and never order anything.
+pub type PktHandle = u32;
+
+/// Sentinel for "no packet" in the intrusive FIFO links.
+const NIL: PktHandle = u32::MAX;
+
+/// One engine instance's packet store.
+///
+/// A packet is written here once, when it is generated (or when it
+/// crosses into this engine's shard), and stays in its slot until it is
+/// ejected or leaves across a shard cut. Banks, output queues and link
+/// rings hold 4-byte [`PktHandle`]s instead of packets, so a hop moves a
+/// handle rather than copying the packet. Freed slots are recycled through
+/// a LIFO free list, so the slab grows only to the engine's high-water
+/// mark of live packets.
+#[derive(Debug, Default)]
+pub struct PacketArena {
+    /// Packet slab; a freed slot keeps its stale packet until reused.
+    slots: Vec<Packet>,
+    /// Intrusive FIFO link per slot: the next packet in the same bank VC
+    /// (a packet sits in at most one bank at a time).
+    next: Vec<PktHandle>,
+    /// Recycled slots, reused last-in first-out.
+    free: Vec<PktHandle>,
+    /// Live packets (slots not on the free list).
+    live: usize,
+    /// Per-slot liveness, catching use-after-free in debug builds.
+    #[cfg(debug_assertions)]
+    is_live: Vec<bool>,
+}
+
+impl PacketArena {
+    /// Store `pkt` and return its handle.
+    pub fn insert(&mut self, pkt: Packet) -> PktHandle {
+        self.live += 1;
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = pkt;
+                #[cfg(debug_assertions)]
+                {
+                    self.is_live[h as usize] = true;
+                }
+                h
+            }
+            None => {
+                let h = self.slots.len() as PktHandle;
+                self.slots.push(pkt);
+                self.next.push(NIL);
+                #[cfg(debug_assertions)]
+                self.is_live.push(true);
+                h
+            }
+        }
+    }
+
+    /// Free `h` and return its packet by value.
+    pub fn remove(&mut self, h: PktHandle) -> Packet {
+        #[cfg(debug_assertions)]
+        {
+            assert!(self.is_live[h as usize], "double free of packet slot {h}");
+            self.is_live[h as usize] = false;
+        }
+        self.live -= 1;
+        self.free.push(h);
+        self.slots[h as usize].clone()
+    }
+
+    /// Packets currently stored.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+}
+
+impl std::ops::Index<PktHandle> for PacketArena {
+    type Output = Packet;
+    #[inline]
+    fn index(&self, h: PktHandle) -> &Packet {
+        #[cfg(debug_assertions)]
+        debug_assert!(self.is_live[h as usize], "read of freed packet slot {h}");
+        &self.slots[h as usize]
+    }
+}
+
+impl std::ops::IndexMut<PktHandle> for PacketArena {
+    #[inline]
+    fn index_mut(&mut self, h: PktHandle) -> &mut Packet {
+        #[cfg(debug_assertions)]
+        debug_assert!(self.is_live[h as usize], "write of freed packet slot {h}");
+        &mut self.slots[h as usize]
+    }
+}
+
+/// One VC's FIFO: head and tail handles plus its length.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: PktHandle,
+    tail: PktHandle,
+    len: u32,
+}
 
 /// A physical input bank: occupancy accounting plus per-VC packet FIFOs.
 ///
-/// The FIFOs are flattened into one index-based pool per bank (a packet
-/// slab plus intrusive `next` links and per-VC head/tail cursors) instead
-/// of a `Vec<VecDeque<Packet>>`: pushes and pops are O(1) slot relinks with
-/// no per-VC ring buffers, freed slots are recycled through a free list,
-/// and after warm-up the slab stops allocating entirely — the property the
-/// active-set engine relies on for allocation-free steady-state cycles.
+/// The FIFOs are intrusive lists of [`PktHandle`]s threaded through the
+/// engine's [`PacketArena`] (its `next` links), so a bank stores only a
+/// head/tail/length triple per VC: pushes and pops are O(1) relinks and a
+/// bank holds no packet storage of its own, whatever its capacity.
 #[derive(Debug)]
 pub struct BufferBank {
     /// Occupancy view (identical accounting to the upstream mirror).
     pub occ: Occupancy,
-    /// Packet slab; `None` marks a free slot.
-    slots: Vec<Option<Packet>>,
-    /// Intrusive FIFO links over `slots`.
-    next: Vec<u32>,
-    /// Recycled slot indices.
-    free: Vec<u32>,
-    /// Per-VC FIFO head slot.
-    head: Vec<u32>,
-    /// Per-VC FIFO tail slot.
-    tail: Vec<u32>,
-    /// Per-VC queue length.
-    len: Vec<u32>,
+    /// Per-VC FIFOs.
+    fifo: Vec<Fifo>,
     /// Total queued packets (hot-path skip test for the allocator).
     total: u32,
 }
@@ -230,92 +323,69 @@ pub struct BufferBank {
 impl BufferBank {
     /// Build a bank around an occupancy model.
     pub fn new(occ: Occupancy) -> Self {
-        Self::with_packet_capacity(occ, 0)
-    }
-
-    /// Build a bank with the slab preallocated for `packets` resident
-    /// packets (the engine passes the port capacity in packets so the
-    /// steady state never reallocates).
-    pub fn with_packet_capacity(occ: Occupancy, packets: usize) -> Self {
         let vcs = occ.vcs();
         BufferBank {
             occ,
-            slots: Vec::with_capacity(packets),
-            next: Vec::with_capacity(packets),
-            free: Vec::new(),
-            head: vec![NIL; vcs],
-            tail: vec![NIL; vcs],
-            len: vec![0; vcs],
+            fifo: vec![
+                Fifo {
+                    head: NIL,
+                    tail: NIL,
+                    len: 0,
+                };
+                vcs
+            ],
             total: 0,
         }
     }
 
-    /// Enqueue an arriving packet into VC `vc` (space was guaranteed by the
-    /// upstream credit check). Stamps the packet's `buffered_class` so the
-    /// eventual release matches this add even if the packet's routing type
-    /// changes while buffered.
-    pub fn push(&mut self, vc: usize, mut pkt: Packet) {
+    /// Enqueue the arriving packet `h` into VC `vc` (space was guaranteed
+    /// by the upstream credit check). Stamps the packet's `buffered_class`
+    /// so the eventual release matches this add even if the packet's
+    /// routing type changes while buffered.
+    pub fn push(&mut self, vc: usize, h: PktHandle, arena: &mut PacketArena) {
+        let pkt = &mut arena[h];
         pkt.buffered_class = pkt.credit_class();
         // New buffer, new position: any cached lookahead is stale, and the
         // per-router transit decision (DAL / adaptive copies) re-arms.
         pkt.flex_opts = None;
         pkt.hop_decided = false;
-        let class = pkt.buffered_class;
-        self.occ.add(vc, pkt.size, class);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(pkt);
-                self.next[s as usize] = NIL;
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Some(pkt));
-                self.next.push(NIL);
-                s
-            }
-        };
-        if self.tail[vc] == NIL {
-            self.head[vc] = slot;
+        let (size, class) = (pkt.size, pkt.buffered_class);
+        self.occ.add(vc, size, class);
+        arena.next[h as usize] = NIL;
+        let f = &mut self.fifo[vc];
+        if f.tail == NIL {
+            f.head = h;
         } else {
-            self.next[self.tail[vc] as usize] = slot;
+            arena.next[f.tail as usize] = h;
         }
-        self.tail[vc] = slot;
-        self.len[vc] += 1;
+        f.tail = h;
+        f.len += 1;
         self.total += 1;
     }
 
     /// Head packet of VC `vc`.
-    pub fn head(&self, vc: usize) -> Option<&Packet> {
-        match self.head[vc] {
+    #[inline]
+    pub fn head(&self, vc: usize) -> Option<PktHandle> {
+        match self.fifo[vc].head {
             NIL => None,
-            s => self.slots[s as usize].as_ref(),
-        }
-    }
-
-    /// Mutable head packet of VC `vc`.
-    pub fn head_mut(&mut self, vc: usize) -> Option<&mut Packet> {
-        match self.head[vc] {
-            NIL => None,
-            s => self.slots[s as usize].as_mut(),
+            h => Some(h),
         }
     }
 
     /// Dequeue the head of VC `vc`. Occupancy is *not* released here — the
     /// phits drain over the transfer duration; the caller schedules the
     /// release at transfer completion.
-    pub fn pop(&mut self, vc: usize) -> Packet {
-        let s = self.head[vc];
-        assert_ne!(s, NIL, "pop on empty VC");
-        let s = s as usize;
-        self.head[vc] = self.next[s];
-        if self.head[vc] == NIL {
-            self.tail[vc] = NIL;
+    pub fn pop(&mut self, vc: usize, arena: &PacketArena) -> PktHandle {
+        let f = &mut self.fifo[vc];
+        let h = f.head;
+        assert_ne!(h, NIL, "pop on empty VC");
+        f.head = arena.next[h as usize];
+        if f.head == NIL {
+            f.tail = NIL;
         }
-        self.len[vc] -= 1;
+        f.len -= 1;
         self.total -= 1;
-        self.free.push(s as u32);
-        self.slots[s].take().expect("occupied slot")
+        h
     }
 
     /// Release `size` phits of VC `vc` after the transfer completes.
@@ -325,12 +395,12 @@ impl BufferBank {
 
     /// Number of VCs.
     pub fn vcs(&self) -> usize {
-        self.head.len()
+        self.fifo.len()
     }
 
     /// Queued packets in VC `vc` (the active-set engine's skip test).
     pub fn vc_len(&self, vc: usize) -> usize {
-        self.len[vc] as usize
+        self.fifo[vc].len as usize
     }
 
     /// Total queued packets across VCs (O(1); the allocator's port-level
@@ -338,7 +408,7 @@ impl BufferBank {
     pub fn queued_packets(&self) -> usize {
         debug_assert_eq!(
             self.total as usize,
-            self.len.iter().map(|&l| l as usize).sum::<usize>()
+            self.fifo.iter().map(|f| f.len as usize).sum::<usize>()
         );
         self.total as usize
     }
@@ -447,50 +517,72 @@ mod tests {
 
     #[test]
     fn bank_push_pop_release() {
+        let mut arena = PacketArena::default();
         let mut bank = BufferBank::new(Occupancy::new_static(2, 32));
-        bank.push(0, mk_packet(1, 8));
-        bank.push(0, mk_packet(2, 8));
-        assert_eq!(bank.head(0).unwrap().id, 1);
+        let (a, b) = (arena.insert(mk_packet(1, 8)), arena.insert(mk_packet(2, 8)));
+        bank.push(0, a, &mut arena);
+        bank.push(0, b, &mut arena);
+        assert_eq!(arena[bank.head(0).unwrap()].id, 1);
         assert_eq!(bank.occ.occupancy(0), 16);
-        let p = bank.pop(0);
-        assert_eq!(p.id, 1);
+        let p = bank.pop(0, &arena);
+        assert_eq!(arena.remove(p).id, 1);
         // Occupancy stays until the transfer completes.
         assert_eq!(bank.occ.occupancy(0), 16);
         bank.release(0, 8, MinRouted);
         assert_eq!(bank.occ.occupancy(0), 8);
-        assert_eq!(bank.head(0).unwrap().id, 2);
+        assert_eq!(arena[bank.head(0).unwrap()].id, 2);
         assert_eq!(bank.queued_packets(), 1);
         assert_eq!(bank.vc_len(0), 1);
         assert_eq!(bank.vc_len(1), 0);
+        assert_eq!(arena.live(), 1);
     }
 
     #[test]
     fn slab_interleaves_vcs_and_recycles_slots() {
-        // Two VCs share one slab; FIFO order per VC must survive arbitrary
-        // interleaving and slot reuse.
-        let mut bank = BufferBank::with_packet_capacity(Occupancy::new_static(2, 64), 8);
+        // Two banks share one arena and each bank's two VCs interleave in
+        // it; FIFO order per VC must survive arbitrary interleaving, slot
+        // reuse and hand-over between banks.
+        let mut arena = PacketArena::default();
+        let mut bank = BufferBank::new(Occupancy::new_static(2, 64));
+        let mut next_bank = BufferBank::new(Occupancy::new_static(1, 64));
         for round in 0u64..50 {
-            bank.push(0, mk_packet(round * 10 + 1, 8));
-            bank.push(1, mk_packet(round * 10 + 2, 8));
-            bank.push(0, mk_packet(round * 10 + 3, 8));
-            assert_eq!(bank.head(0).unwrap().id, round * 10 + 1);
-            assert_eq!(bank.head(1).unwrap().id, round * 10 + 2);
-            assert_eq!(bank.pop(0).id, round * 10 + 1);
-            assert_eq!(bank.pop(0).id, round * 10 + 3);
-            assert_eq!(bank.pop(1).id, round * 10 + 2);
+            for (vc, id) in [(0, 1), (1, 2), (0, 3)] {
+                let h = arena.insert(mk_packet(round * 10 + id, 8));
+                bank.push(vc, h, &mut arena);
+            }
+            assert_eq!(arena[bank.head(0).unwrap()].id, round * 10 + 1);
+            assert_eq!(arena[bank.head(1).unwrap()].id, round * 10 + 2);
+            // The first packet hops into the next bank by handle.
+            let hop = bank.pop(0, &arena);
+            next_bank.push(0, hop, &mut arena);
+            assert_eq!(arena.remove(bank.pop(0, &arena)).id, round * 10 + 3);
+            assert_eq!(arena.remove(bank.pop(1, &arena)).id, round * 10 + 2);
             bank.release(0, 16, MinRouted);
             bank.release(1, 8, MinRouted);
             assert_eq!(bank.queued_packets(), 0);
             assert!(bank.head(0).is_none() && bank.head(1).is_none());
+            assert_eq!(arena.remove(next_bank.pop(0, &arena)).id, round * 10 + 1);
+            next_bank.release(0, 8, MinRouted);
+            assert_eq!(arena.live(), 0);
         }
-        // The slab never grew past the peak resident count.
-        assert!(bank.slots.len() <= 3, "slab grew: {}", bank.slots.len());
+        // The slab never grew past the peak live count.
+        assert_eq!(arena.slots.len(), 3, "slab grew past the peak live count");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "double free")]
+    fn arena_double_free_is_caught() {
+        let mut arena = PacketArena::default();
+        let h = arena.insert(mk_packet(1, 8));
+        let _ = arena.remove(h);
+        let _ = arena.remove(h);
     }
 
     #[test]
     #[should_panic(expected = "pop on empty VC")]
     fn pop_empty_vc_panics() {
         let mut bank = BufferBank::new(Occupancy::new_static(1, 32));
-        let _ = bank.pop(0);
+        let _ = bank.pop(0, &PacketArena::default());
     }
 }

@@ -156,6 +156,57 @@ impl TopologySpec {
         }
     }
 
+    /// Network ports per router, computed from the shape parameters alone.
+    pub fn num_ports(&self) -> usize {
+        match self {
+            TopologySpec::DragonflyBalanced { h, .. } => (2 * h - 1) + h,
+            TopologySpec::Dragonfly { a, h, .. } => (a - 1) + h,
+            TopologySpec::FlatButterfly { k, .. } => 2 * (k - 1),
+            TopologySpec::HyperX { dims, .. } => dims.iter().map(|&(s, k)| k * (s - 1)).sum(),
+            TopologySpec::DragonflyPlus {
+                leaves,
+                spines,
+                global_mult,
+                groups,
+                ..
+            } => leaves.max(spines) + global_mult * (groups - 1) / spines,
+        }
+    }
+
+    /// Terminal nodes per (node-carrying) router, computed from the shape
+    /// parameters alone.
+    pub fn nodes_per_router(&self) -> usize {
+        match self {
+            TopologySpec::DragonflyBalanced { h, .. } => *h,
+            TopologySpec::Dragonfly { p, .. }
+            | TopologySpec::FlatButterfly { p, .. }
+            | TopologySpec::HyperX { p, .. } => *p,
+            TopologySpec::DragonflyPlus { hosts_per_leaf, .. } => *hosts_per_leaf,
+        }
+    }
+
+    /// Check that a pre-built topology instance has this shape's router,
+    /// port and node-per-router counts.
+    pub fn check_instance(&self, topo: &dyn Topology) -> Result<(), ConfigError> {
+        let counts = [
+            ("routers", self.num_routers(), topo.num_routers()),
+            ("ports per router", self.num_ports(), topo.num_ports()),
+            (
+                "nodes per router",
+                self.nodes_per_router(),
+                topo.nodes_per_router(),
+            ),
+        ];
+        match counts.into_iter().find(|&(_, e, a)| e != a) {
+            Some((what, expected, actual)) => Err(ConfigError::TopologyMismatch {
+                what,
+                expected,
+                actual,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Classification family of the topology.
     pub fn family(&self) -> NetworkFamily {
         match self {
@@ -1017,6 +1068,50 @@ pub fn paper_routing_for(pattern: Pattern) -> RoutingMode {
 mod tests {
     use super::*;
     use flexvc_core::LinkClass::*;
+
+    /// The shape-only counts agree with the built topology for every
+    /// family, so `check_instance` accepts exactly the matching instance.
+    #[test]
+    fn spec_counts_match_built_topologies() {
+        let specs = [
+            TopologySpec::DragonflyBalanced {
+                h: 3,
+                arrangement: GlobalArrangement::default(),
+            },
+            TopologySpec::Dragonfly {
+                p: 2,
+                a: 4,
+                h: 2,
+                g: 5,
+                arrangement: GlobalArrangement::default(),
+            },
+            TopologySpec::FlatButterfly { k: 4, p: 2 },
+            TopologySpec::HyperX {
+                dims: vec![(3, 1), (4, 2), (2, 1)],
+                p: 2,
+            },
+            TopologySpec::DragonflyPlus {
+                leaves: 3,
+                spines: 2,
+                hosts_per_leaf: 2,
+                global_mult: 2,
+                groups: 4,
+            },
+        ];
+        for spec in &specs {
+            let topo = spec.build();
+            assert_eq!(spec.num_routers(), topo.num_routers(), "{spec:?}");
+            assert_eq!(spec.num_ports(), topo.num_ports(), "{spec:?}");
+            assert_eq!(spec.nodes_per_router(), topo.nodes_per_router(), "{spec:?}");
+            assert_eq!(spec.check_instance(topo.as_ref()), Ok(()));
+            for other in specs.iter().filter(|o| *o != spec) {
+                assert!(
+                    other.check_instance(topo.as_ref()).is_err(),
+                    "{other:?} accepted an instance of {spec:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn baseline_min_config_validates() {

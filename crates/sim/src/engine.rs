@@ -59,7 +59,7 @@
 #![allow(clippy::type_complexity)]
 
 use crate::arbiter::RrArbiter;
-use crate::bank::{BufferBank, Occupancy};
+use crate::bank::{BufferBank, Occupancy, PacketArena, PktHandle};
 use crate::config::{BufferOrg, SensingMode, SimConfig};
 use crate::link::LinkState;
 use crate::metrics::{Metrics, SimResult};
@@ -137,7 +137,7 @@ fn mark(list: &mut Vec<u32>, in_set: &mut [bool], id: usize) {
 /// A packet queued at an output buffer awaiting link serialization.
 #[derive(Debug)]
 struct OutPkt {
-    pkt: Packet,
+    pkt: PktHandle,
     /// Head reaches the output buffer after the router pipeline.
     ready_at: u64,
     /// Landing VC at the downstream input port.
@@ -159,7 +159,7 @@ enum Pending {
     OutBuf { at: u64, port: u16, phits: u32 },
 }
 
-/// Per-router state.
+/// Per-router state, built only for the routers an engine instance owns.
 struct Router {
     /// Network input banks (one per network port).
     inputs: Vec<BufferBank>,
@@ -243,12 +243,17 @@ pub struct Network {
     sense_ports: Vec<usize>,
     /// `true` when every port is a sense port (single-class topology).
     sense_all: bool,
+    /// Owned routers, indexed by *local* router id `r - r0`.
     routers: Vec<Router>,
+    /// Every packet this instance holds; banks, output queues and link
+    /// rings carry handles into it.
+    arena: PacketArena,
     links: Vec<LinkState>,
+    /// Generators of the owned nodes, indexed by local node id `n - n0`.
     gens: Vec<NodeTraffic>,
-    /// Per-node staged replies: `(destination, ready_at)`.
+    /// Per-owned-node staged replies: `(destination, ready_at)`.
     staging: Vec<VecDeque<(u32, u64)>>,
-    /// Per-node injection VC round-robin (non-reactive traffic).
+    /// Per-owned-node injection VC round-robin (non-reactive traffic).
     inj_rr: Vec<u8>,
     /// Per-group Piggyback boards (empty unless PB routing).
     boards: Vec<GroupBoard>,
@@ -263,13 +268,17 @@ pub struct Network {
     /// traffic conservation closes too).
     draining: bool,
     /// Routers this engine instance steps (the full range unless it is one
-    /// shard of a [`crate::shard::ShardedNetwork`]). Non-owned routers keep
-    /// their slots in every flat pool so link ids and adjacency stay global,
-    /// but their buffers are never touched and carry no preallocation.
+    /// shard of a [`crate::shard::ShardedNetwork`]). Only owned routers get
+    /// per-router and per-port state; every such array is indexed by the
+    /// local id `r - r0` (ports `(r - r0) * pp + port`, which is also the
+    /// local form of a flat link id). Link ids, adjacency and `node_base`
+    /// stay global.
     owned_r: std::ops::Range<u32>,
-    /// Nodes attached to owned routers (contiguous because node numbering
-    /// is router-major; see `node_base`).
-    owned_n: std::ops::Range<u32>,
+    /// `owned_r.start`: global id of local router 0.
+    r0: usize,
+    /// Global id of local node 0. The nodes attached to owned routers are
+    /// contiguous because node numbering is router-major (see `node_base`).
+    n0: usize,
     /// `true` when this instance is a shard: effects that cross the
     /// ownership boundary (packet transmits, credit returns, PB board
     /// publishes) are emitted into `outbox` instead of applied locally.
@@ -278,6 +287,7 @@ pub struct Network {
     /// routed to their owning shard by the shard driver each cycle).
     outbox: Vec<BoundaryEvent>,
     // --- active-set scheduling state (behavior-neutral bookkeeping) ---
+    // Router worklists hold local router ids, `out_list` local link ids.
     /// Per-router queued-packet count (network input + injection queues).
     queued: Vec<u32>,
     /// Routers with queued packets: the allocation worklist.
@@ -297,7 +307,7 @@ pub struct Network {
     pkt_wheel: Wheel<u32>,
     /// Timing wheel of links with a credit arriving at a cycle.
     cred_wheel: Wheel<u32>,
-    /// Last credit-arrival cycle scheduled per link (flat link id): credit
+    /// Last credit-arrival cycle scheduled per owned link (local link id): credit
     /// returns are batched per link per cycle, so a link already scheduled
     /// for cycle `at` skips the duplicate wheel push — `deliver` drains
     /// every credit due at `at` from one wheel entry. Sound because credit
@@ -310,7 +320,7 @@ pub struct Network {
     /// have, cycle by cycle.
     #[cfg(debug_assertions)]
     shadow_cred: Wheel<u32>,
-    /// Timing wheel of scheduled buffer releases `(router, release)` —
+    /// Timing wheel of scheduled buffer releases `(local router, release)` —
     /// releases are commutative occupancy arithmetic, so wheel order is
     /// interchangeable with the old per-router scan order.
     rel_wheel: Wheel<(u32, Pending)>,
@@ -447,7 +457,10 @@ impl Network {
     /// Like [`Network::new`] but reusing a pre-built topology instance,
     /// which must match `cfg.topology` — the sweep runner and the bench
     /// harness build each distinct topology once and share the `Arc` across
-    /// all points that use it instead of rebuilding per point.
+    /// all points that use it instead of rebuilding per point. A topology
+    /// whose router, port or node-per-router count differs from
+    /// `cfg.topology` fails with
+    /// [`ConfigError::TopologyMismatch`](crate::error::ConfigError::TopologyMismatch).
     pub fn with_topology(
         cfg: SimConfig,
         load: f64,
@@ -455,11 +468,7 @@ impl Network {
         topo: Arc<dyn Topology>,
     ) -> Result<Self, crate::error::ConfigError> {
         cfg.validate()?;
-        debug_assert_eq!(
-            topo.num_routers(),
-            cfg.topology.num_routers(),
-            "shared topology does not match cfg.topology"
-        );
+        cfg.topology.check_instance(topo.as_ref())?;
         Ok(Self::build(cfg, load, seed, topo, None))
     }
 
@@ -490,7 +499,10 @@ impl Network {
         let sharded = owned.is_some();
         let owned_r = owned.unwrap_or(0..nr as u32);
         debug_assert!(owned_r.start < owned_r.end && owned_r.end <= nr as u32);
-        let owns = |r: usize| owned_r.contains(&(r as u32));
+        let r0 = owned_r.start as usize;
+        // Owned routers: every per-router and per-port array below has
+        // `lnr` entries (times ports, inputs or VC slots).
+        let lnr = owned_r.len();
 
         let mut adj = vec![None; nr * pp];
         let node_base: Vec<u32> = (0..nr).map(|r| topo.node_base(r) as u32).collect();
@@ -531,42 +543,23 @@ impl Network {
             }
         };
 
-        // Preallocate every pool for its worst-case population so the
-        // steady state never allocates: banks for their capacity in
-        // packets, links for their latency-bounded in-flight window,
-        // output queues for their buffer depth.
+        // Nothing is sized for its worst case: packets live in the arena,
+        // and banks, output queues and link rings hold handles in queues
+        // that start empty and grow to their own high-water mark. Only the
+        // owned routers get banks, arbiters, credit mirrors and queues.
         let size = cfg.packet_size.max(1);
-        let bank_packets =
-            |class: LinkClass, cfg: &SimConfig| (cfg.port_capacity(class) / size) as usize + 1;
-        let inj_packets = (cfg.buffers.injection * cfg.injection_vcs as u32 / size) as usize + 1;
-        let out_packets = (cfg.buffers.output / size) as usize + 2;
         let max_lat = cfg.local_latency.max(cfg.global_latency) as u64;
-        let link_window = (max_lat / size as u64) as usize + 4;
-
-        let mut routers: Vec<Router> = (0..nr)
+        let mut routers: Vec<Router> = (r0..r0 + lnr)
             .map(|r| {
-                // Foreign routers (sharded mode) keep their slots so flat
-                // indexing stays global, but are never stepped: skip their
-                // queue preallocation entirely.
-                let mine = owns(r);
                 let inputs: Vec<BufferBank> = (0..pp)
-                    .map(|p| {
-                        BufferBank::with_packet_capacity(
-                            make_bank(port_class[p], &cfg),
-                            if mine {
-                                bank_packets(port_class[p], &cfg)
-                            } else {
-                                0
-                            },
-                        )
-                    })
+                    .map(|p| BufferBank::new(make_bank(port_class[p], &cfg)))
                     .collect();
                 let inj: Vec<BufferBank> = (0..pn)
                     .map(|_| {
-                        BufferBank::with_packet_capacity(
-                            Occupancy::new_static(cfg.injection_vcs, cfg.buffers.injection),
-                            if mine { inj_packets } else { 0 },
-                        )
+                        BufferBank::new(Occupancy::new_static(
+                            cfg.injection_vcs,
+                            cfg.buffers.injection,
+                        ))
                     })
                     .collect();
                 let out_credit: Vec<Occupancy> =
@@ -587,9 +580,7 @@ impl Network {
                         .collect(),
                     out_arb: (0..pp).map(|_| RrArbiter::new(n_in)).collect(),
                     out_credit,
-                    out_queue: (0..pp)
-                        .map(|_| VecDeque::with_capacity(if mine { out_packets } else { 0 }))
-                        .collect(),
+                    out_queue: (0..pp).map(|_| VecDeque::new()).collect(),
                     rng: SmallRng::seed_from_u64(
                         seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(r as u64 + 1),
                     ),
@@ -607,16 +598,9 @@ impl Network {
             }
         }
 
-        // A link replica matters to a shard when it transmits on it (owns
-        // the sending router) or receives from it (owns the downstream
-        // router); foreign-foreign links are never touched.
-        let links = (0..nr * pp)
-            .map(|lid| {
-                let tx_owned = owns(lid / pp);
-                let rx_owned = adj[lid].is_some_and(|(dr, _)| owns(dr as usize));
-                LinkState::with_capacity(if tx_owned || rx_owned { link_window } else { 0 })
-            })
-            .collect();
+        // Links keep global ids; a replica a shard never transmits on or
+        // receives from stays an empty, allocation-free `LinkState`.
+        let links = (0..nr * pp).map(|_| LinkState::default()).collect();
 
         // The timing wheels address links by flat id and resolve packet
         // destinations through `adj[lid]`, which requires the wiring to be
@@ -688,7 +672,20 @@ impl Network {
             }
             _ => None,
         };
-        let gens: Vec<NodeTraffic> = (0..topo.num_nodes())
+        let n_nodes = topo.num_nodes();
+        // Node numbering is router-major (`node_base` is monotone), so the
+        // nodes of a contiguous router range are themselves contiguous.
+        let owned_n = {
+            let start = node_base[owned_r.start as usize];
+            let end = if owned_r.end as usize == nr {
+                n_nodes as u32
+            } else {
+                node_base[owned_r.end as usize]
+            };
+            start..end
+        };
+        let lnn = owned_n.len();
+        let gens: Vec<NodeTraffic> = (owned_n.start as usize..owned_n.end as usize)
             .map(|n| {
                 NodeTraffic::new(
                     cfg.workload,
@@ -711,18 +708,6 @@ impl Network {
             Vec::new()
         };
 
-        let n_nodes = topo.num_nodes();
-        // Node numbering is router-major (`node_base` is monotone), so the
-        // nodes of a contiguous router range are themselves contiguous.
-        let owned_n = {
-            let start = node_base[owned_r.start as usize];
-            let end = if owned_r.end as usize == nr {
-                n_nodes as u32
-            } else {
-                node_base[owned_r.end as usize]
-            };
-            start..end
-        };
         let policy = RoutePolicy::new(&cfg);
         let cfg_has_flows = cfg.workload.flow_spec().is_some();
         // In-transit decisions (PAR's divert mark, DAL's per-dimension
@@ -755,7 +740,7 @@ impl Network {
             ],
         ];
         let port_total: Vec<u32> = (0..pp).map(|p| cfg.port_capacity(port_class[p])).collect();
-        let mut cls_quota = vec![0u32; if repart { nr * pp * 2 } else { 0 }];
+        let mut cls_quota = vec![0u32; if repart { lnr * pp * 2 } else { 0 }];
         if repart {
             let frac = qos.expect("repart implies qos").control_quota_fraction;
             for p in 0..pp {
@@ -771,9 +756,9 @@ impl Network {
                 } else {
                     (total, total)
                 };
-                for r in 0..nr {
-                    cls_quota[(r * pp + p) * 2] = cq;
-                    cls_quota[(r * pp + p) * 2 + 1] = bq;
+                for lr in 0..lnr {
+                    cls_quota[(lr * pp + p) * 2] = cq;
+                    cls_quota[(lr * pp + p) * 2 + 1] = bq;
                 }
             }
         }
@@ -793,10 +778,11 @@ impl Network {
             sense_ports,
             sense_all,
             routers,
+            arena: PacketArena::default(),
             links,
             gens,
-            staging: vec![VecDeque::new(); n_nodes],
-            inj_rr: vec![0; n_nodes],
+            staging: vec![VecDeque::new(); lnn],
+            inj_rr: vec![0; lnn],
             boards,
             metrics: Metrics::default(),
             cycle: 0,
@@ -806,33 +792,34 @@ impl Network {
             last_progress: 0,
             draining: false,
             owned_r,
-            owned_n,
+            r0,
+            n0: owned_n.start as usize,
             sharded,
             outbox: Vec::new(),
-            queued: vec![0; nr],
+            queued: vec![0; lnr],
             alloc_list: Vec::new(),
-            alloc_in: vec![false; nr],
+            alloc_in: vec![false; lnr],
             plan_list: Vec::new(),
-            plan_in: vec![false; nr],
+            plan_in: vec![false; lnr],
             out_list: Vec::new(),
-            out_in: vec![false; nr * pp],
+            out_in: vec![false; lnr * pp],
             sense_list: Vec::new(),
-            sense_in: vec![false; nr],
+            sense_in: vec![false; lnr],
             pkt_wheel: Wheel::new(horizon),
             cred_wheel: Wheel::new(horizon),
-            cred_sched: vec![0; nr * pp],
+            cred_sched: vec![0; lnr * pp],
             #[cfg(debug_assertions)]
             shadow_cred: Wheel::new(horizon),
             rel_wheel: Wheel::new(horizon),
             cand: vec![None; pp + pn],
             cand_set: Vec::with_capacity(pp + pn),
             ports_scratch: Vec::with_capacity(pp),
-            in_mask: vec![0; nr],
-            vc_mask: vec![0; nr * (pp + pn)],
-            in_busy: vec![0; nr * (pp + pn)],
-            out_xbar: vec![0; nr * pp],
-            out_occ: vec![0; nr * pp],
-            eject_busy: vec![0; nr * pn * 2],
+            in_mask: vec![0; lnr],
+            vc_mask: vec![0; lnr * (pp + pn)],
+            in_busy: vec![0; lnr * (pp + pn)],
+            out_xbar: vec![0; lnr * pp],
+            out_occ: vec![0; lnr * pp],
+            eject_busy: vec![0; lnr * pn * 2],
             vcs_by_in: (0..pp + pn)
                 .map(|i| {
                     if i < pp {
@@ -842,15 +829,15 @@ impl Network {
                     }
                 })
                 .collect(),
-            settled: vec![u64::MAX; nr],
+            settled: vec![u64::MAX; lnr],
             can_settle,
             eval_mutated: false,
             eval_mutated_here: false,
             eval_block: EvalBlock::Never,
-            port_epoch: vec![0; nr * pp],
-            vc_skip_port: vec![0; nr * (pp + pn) * 16],
-            vc_skip_epoch: vec![u64::MAX; nr * (pp + pn) * 16],
-            vc_skip_until: vec![0; nr * (pp + pn) * 16],
+            port_epoch: vec![0; lnr * pp],
+            vc_skip_port: vec![0; lnr * (pp + pn) * 16],
+            vc_skip_epoch: vec![u64::MAX; lnr * (pp + pn) * 16],
+            vc_skip_until: vec![0; lnr * (pp + pn) * 16],
             baseline_table,
             has_flows: cfg_has_flows,
             flow_tags: std::collections::HashMap::new(),
@@ -858,11 +845,11 @@ impl Network {
             flag_scratch: Vec::new(),
             qos_active,
             bypass_bound,
-            bypass_in: vec![0; if qos_active { nr * (pp + pn) } else { 0 }],
-            bypass_out: vec![0; if qos_active { nr * pp } else { 0 }],
+            bypass_in: vec![0; if qos_active { lnr * (pp + pn) } else { 0 }],
+            bypass_out: vec![0; if qos_active { lnr * pp } else { 0 }],
             qos_masks,
             repart,
-            cls_occ: vec![0; if repart { nr * pp * 2 } else { 0 }],
+            cls_occ: vec![0; if repart { lnr * pp * 2 } else { 0 }],
             cls_quota,
             port_total,
         }
@@ -887,6 +874,13 @@ impl Network {
     /// Packets currently in queues, buffers or links.
     pub fn packets_in_flight(&self) -> i64 {
         self.in_flight
+    }
+
+    /// Packets stored in this instance's packet arena. Equals
+    /// [`Network::packets_in_flight`] for a plain network; a shard holds
+    /// the packets queued at its own routers and on links toward them.
+    pub fn arena_live(&self) -> usize {
+        self.arena.live()
     }
 
     /// Whether the watchdog flagged a deadlock.
@@ -1006,6 +1000,34 @@ impl Network {
         if now.is_multiple_of(128) && self.in_window(now) {
             self.sample_occupancy();
         }
+        #[cfg(debug_assertions)]
+        self.check_arena();
+    }
+
+    /// Debug-build conservation check: the arena holds exactly the packets
+    /// queued in this instance's banks, output queues and link rings.
+    #[cfg(debug_assertions)]
+    fn check_arena(&self) {
+        let queued: usize = self
+            .routers
+            .iter()
+            .flat_map(|router| router.inputs.iter().chain(&router.inj))
+            .map(BufferBank::queued_packets)
+            .sum();
+        let outputs: usize = self
+            .routers
+            .iter()
+            .flat_map(|router| &router.out_queue)
+            .map(VecDeque::len)
+            .sum();
+        let links: usize = self.links.iter().map(|l| l.packets.len()).sum();
+        assert_eq!(
+            self.arena.live(),
+            queued + outputs + links,
+            "arena out of step with banks ({queued}), output queues ({outputs}) \
+             and link rings ({links}) at cycle {}",
+            self.cycle
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1061,7 +1083,11 @@ impl Network {
     /// schedule, where the same effects were queued during the phases.
     pub(crate) fn apply_boundary(&mut self, now: u64, ev: BoundaryEvent) {
         match ev.payload {
-            BoundaryPayload::Packet { flight, flow } => {
+            BoundaryPayload::Packet {
+                mut flight,
+                packet,
+                flow,
+            } => {
                 // Epoch soundness: every cut-crossing arrival lands strictly
                 // after the exchange cycle (delay ≥ the cut-link latency the
                 // epoch length is capped at), so applying late never
@@ -1069,9 +1095,9 @@ impl Network {
                 debug_assert!(ev.at > now);
                 debug_assert!(self.owns(self.adj[ev.lid as usize].expect("wired").0));
                 if let Some(tag) = flow {
-                    self.flow_tags
-                        .insert((flight.packet.src, flight.packet.id), tag);
+                    self.flow_tags.insert((packet.src, packet.id), tag);
                 }
+                flight.pkt = self.arena.insert(packet);
                 self.pkt_wheel.schedule(now, ev.at, ev.lid);
                 self.links[ev.lid as usize].receive_flight(flight);
             }
@@ -1129,10 +1155,7 @@ impl Network {
     /// Replies staged at owned nodes but not yet injected (the drain
     /// conservation check counts them as pending).
     pub(crate) fn staged_pending(&self) -> i64 {
-        self.staging[self.owned_n.start as usize..self.owned_n.end as usize]
-            .iter()
-            .map(|q| q.len())
-            .sum::<usize>() as i64
+        self.staging.iter().map(|q| q.len()).sum::<usize>() as i64
     }
 
     /// Mute the owned traffic generators (sharded drain).
@@ -1148,14 +1171,14 @@ impl Network {
                 let i = class.index();
                 prof.sums[i] = vec![0; self.cfg.vcs_for_class(class)];
                 prof.ports[i] = (self.port_class.iter().filter(|&&c| c == class).count()
-                    * self.routers.len()) as u64;
+                    * self.topo.num_routers()) as u64;
             }
         }
         prof.samples += 1;
         // Owned routers only (the full network when not sharded); `ports`
         // above still counts the whole network, so per-shard profiles sum
         // exactly to the single-engine profile.
-        for router in &self.routers[self.owned_r.start as usize..self.owned_r.end as usize] {
+        for router in &self.routers {
             for (port, bank) in router.inputs.iter().enumerate() {
                 let sums = &mut prof.sums[self.port_class[port].index()];
                 for vc in 0..bank.vcs() {
@@ -1178,9 +1201,9 @@ impl Network {
     fn repartition(&mut self) {
         let pp = self.pp;
         let size = self.cfg.packet_size;
-        for r in self.owned_r.start as usize..self.owned_r.end as usize {
+        for lr in 0..self.routers.len() {
             for p in 0..pp {
-                let base = (r * pp + p) * 2;
+                let base = (lr * pp + p) * 2;
                 let (cq, bq) = (self.cls_quota[base], self.cls_quota[base + 1]);
                 if cq + bq != self.port_total[p] {
                     continue; // port too small to split (inert quotas)
@@ -1217,21 +1240,12 @@ impl Network {
         for &lid32 in &due {
             let lid = lid32 as usize;
             let (dr, dp) = self.adj[lid].expect("transmitting link is wired");
-            let (r, ip) = (dr as usize, dp as usize);
+            let (lr, ip) = (dr as usize - self.r0, dp as usize);
             while let Some(f) = self.links[lid].pop_arrived(now) {
-                let mut pkt = f.packet;
+                let pkt = &mut self.arena[f.pkt];
                 pkt.head_arrival = f.head_arrival;
                 pkt.tail_arrival = f.tail_arrival;
-                let vc = f.vc as usize;
-                self.routers[r].inputs[ip].push(vc, pkt);
-                self.queued[r] += 1;
-                if ip < 64 {
-                    self.in_mask[r] |= 1 << ip;
-                }
-                if vc < 16 {
-                    self.vc_mask[r * (self.pp + self.pn) + ip] |= 1 << vc;
-                }
-                mark(&mut self.alloc_list, &mut self.alloc_in, r);
+                self.enqueue(lr, ip, f.vc as usize, f.pkt);
                 self.last_progress = now;
             }
         }
@@ -1245,14 +1259,16 @@ impl Network {
         let due = self.cred_wheel.take(now);
         for &lid32 in &due {
             let lid = lid32 as usize;
-            let (r, op) = (lid / pp, lid % pp);
+            // The credit queue's link is owned by the router it returns to.
+            let llid = lid - self.r0 * pp;
+            let (lr, op) = (llid / pp, llid % pp);
             let mut any = false;
             while let Some(c) = self.links[lid].pop_credit(now) {
-                self.routers[r].out_credit[op].remove(c.vc as usize, c.phits, c.class);
+                self.routers[lr].out_credit[op].remove(c.vc as usize, c.phits, c.class);
                 if self.repart {
                     // The downstream buffer drained a packet of this class:
                     // release its share of the class quota.
-                    self.cls_occ[(r * pp + op) * 2 + c.tclass.index()] -= c.phits;
+                    self.cls_occ[llid * 2 + c.tclass.index()] -= c.phits;
                 }
                 // A returning credit is forward progress: downstream
                 // drained a buffer we were blocked on. Without this, an
@@ -1270,11 +1286,11 @@ impl Network {
             if any {
                 // Credits restore acceptance on this output port: wake its
                 // memoized rejections (see `port_epoch`).
-                self.port_epoch[lid] += 1;
+                self.port_epoch[llid] += 1;
                 if !self.boards.is_empty()
                     && (self.sense_all || self.port_class[op] == LinkClass::Global)
                 {
-                    mark(&mut self.sense_list, &mut self.sense_in, r);
+                    mark(&mut self.sense_list, &mut self.sense_in, lr);
                 }
             }
         }
@@ -1309,8 +1325,8 @@ impl Network {
     fn process_pending(&mut self, now: u64) {
         let pp = self.pp;
         let due = self.rel_wheel.take(now);
-        for &(rid, rel) in &due {
-            let rid = rid as usize;
+        for &(lr, rel) in &due {
+            let lr = lr as usize;
             match rel {
                 Pending::Input {
                     in_idx,
@@ -1321,7 +1337,7 @@ impl Network {
                 } => {
                     debug_assert_eq!(at, now);
                     let in_idx = in_idx as usize;
-                    let router = &mut self.routers[rid];
+                    let router = &mut self.routers[lr];
                     if in_idx < pp {
                         router.inputs[in_idx].release(vc as usize, phits, class);
                     } else {
@@ -1330,10 +1346,10 @@ impl Network {
                 }
                 Pending::OutBuf { port, phits, at } => {
                     debug_assert_eq!(at, now);
-                    self.out_occ[rid * pp + port as usize] -= phits;
+                    self.out_occ[lr * pp + port as usize] -= phits;
                     // Output space restored: wake the port's memoized
                     // rejections (see `port_epoch`).
-                    self.port_epoch[rid * pp + port as usize] += 1;
+                    self.port_epoch[lr * pp + port as usize] += 1;
                 }
             }
         }
@@ -1348,10 +1364,11 @@ impl Network {
         let size = self.cfg.packet_size;
         let reactive = self.cfg.workload.is_reactive();
         let in_window = self.in_window(now);
-        for n in self.owned_n.start as usize..self.owned_n.end as usize {
+        for ln in 0..self.gens.len() {
+            let n = self.n0 + ln;
             // New requests from the pattern generator (muted while
             // draining; staged replies below still flush).
-            if let Some(em) = (!self.draining).then(|| self.gens[n].next(now)).flatten() {
+            if let Some(em) = (!self.draining).then(|| self.gens[ln].next(now)).flatten() {
                 if in_window {
                     self.metrics.generated_packets += 1;
                     self.metrics.generated_phits += size as u64;
@@ -1368,19 +1385,18 @@ impl Network {
                         TrafficClass::Control => 0,
                         TrafficClass::Bulk => {
                             let lanes = self.cfg.injection_vcs as u8 - 1;
-                            let v = self.inj_rr[n] % lanes;
-                            self.inj_rr[n] = (v + 1) % lanes;
+                            let v = self.inj_rr[ln] % lanes;
+                            self.inj_rr[ln] = (v + 1) % lanes;
                             v + 1
                         }
                     }
                 } else {
-                    let v = self.inj_rr[n];
-                    self.inj_rr[n] = (v + 1) % self.cfg.injection_vcs as u8;
+                    let v = self.inj_rr[ln];
+                    self.inj_rr[ln] = (v + 1) % self.cfg.injection_vcs as u8;
                     v
                 } as usize;
-                let r = self.topo.router_of_node(n);
-                let local = n - self.node_base[r] as usize;
-                if self.routers[r].inj[local].occ.can_accept(vc, size) {
+                let (lr, local) = self.node_slot(n);
+                if self.routers[lr].inj[local].occ.can_accept(vc, size) {
                     let pkt = self.new_packet(
                         n as u32,
                         em.dest as u32,
@@ -1391,34 +1407,21 @@ impl Network {
                     if let Some(tag) = em.flow {
                         self.flow_tags.insert((pkt.src, pkt.id), tag);
                     }
-                    self.routers[r].inj[local].push(vc, pkt);
-                    self.queued[r] += 1;
-                    let in_idx = self.pp + local;
-                    if in_idx < 64 {
-                        self.in_mask[r] |= 1 << in_idx;
-                    }
-                    if vc < 16 {
-                        self.vc_mask[r * (self.pp + self.pn) + in_idx] |= 1 << vc;
-                    }
-                    mark(&mut self.alloc_list, &mut self.alloc_in, r);
-                    mark(&mut self.plan_list, &mut self.plan_in, r);
-                    self.in_flight += 1;
-                    self.last_progress = now;
+                    self.inject(lr, local, vc, pkt, now);
                 } else if in_window {
                     self.metrics.dropped_packets += 1;
                 }
             }
             // Staged replies enter the reply injection VC when it has room.
-            while let Some(&(dst, ready)) = self.staging[n].front() {
+            while let Some(&(dst, ready)) = self.staging[ln].front() {
                 if ready > now {
                     break;
                 }
-                let r = self.topo.router_of_node(n);
-                let local = n - self.node_base[r] as usize;
-                if !self.routers[r].inj[local].occ.can_accept(1, size) {
+                let (lr, local) = self.node_slot(n);
+                if !self.routers[lr].inj[local].occ.can_accept(1, size) {
                     break;
                 }
-                self.staging[n].pop_front();
+                self.staging[ln].pop_front();
                 if in_window {
                     self.metrics.generated_packets += 1;
                     self.metrics.generated_phits += size as u64;
@@ -1427,19 +1430,47 @@ impl Network {
                 // validation rejects: they are always bulk.
                 let pkt =
                     self.new_packet(n as u32, dst, MessageClass::Reply, TrafficClass::Bulk, now);
-                self.routers[r].inj[local].push(1, pkt);
-                self.queued[r] += 1;
-                let in_idx = self.pp + local;
-                if in_idx < 64 {
-                    self.in_mask[r] |= 1 << in_idx;
-                }
-                self.vc_mask[r * (self.pp + self.pn) + in_idx] |= 1 << 1;
-                mark(&mut self.alloc_list, &mut self.alloc_in, r);
-                mark(&mut self.plan_list, &mut self.plan_in, r);
-                self.in_flight += 1;
-                self.last_progress = now;
+                self.inject(lr, local, 1, pkt, now);
             }
         }
+    }
+
+    /// Queue packet `h` in VC `vc` of unified input `in_idx` at local router
+    /// `lr`, and list the router for allocation.
+    #[inline]
+    fn enqueue(&mut self, lr: usize, in_idx: usize, vc: usize, h: PktHandle) {
+        let router = &mut self.routers[lr];
+        let bank = if in_idx < self.pp {
+            &mut router.inputs[in_idx]
+        } else {
+            &mut router.inj[in_idx - self.pp]
+        };
+        bank.push(vc, h, &mut self.arena);
+        self.queued[lr] += 1;
+        if in_idx < 64 {
+            self.in_mask[lr] |= 1 << in_idx;
+        }
+        if vc < 16 {
+            self.vc_mask[lr * (self.pp + self.pn) + in_idx] |= 1 << vc;
+        }
+        mark(&mut self.alloc_list, &mut self.alloc_in, lr);
+    }
+
+    /// Store a generated packet and queue it in injection VC `vc` of bank
+    /// `local` at local router `lr`, whose new head needs planning.
+    fn inject(&mut self, lr: usize, local: usize, vc: usize, pkt: Packet, now: u64) {
+        let h = self.arena.insert(pkt);
+        self.enqueue(lr, self.pp + local, vc, h);
+        mark(&mut self.plan_list, &mut self.plan_in, lr);
+        self.in_flight += 1;
+        self.last_progress = now;
+    }
+
+    /// Local router id and injection-bank index of owned node `n`.
+    #[inline]
+    fn node_slot(&self, n: usize) -> (usize, usize) {
+        let r = self.topo.router_of_node(n);
+        (r - self.r0, n - self.node_base[r] as usize)
     }
 
     fn new_packet(
@@ -1490,17 +1521,19 @@ impl Network {
         // sites mark the worklist, so draining it each cycle plans exactly
         // the heads the full sweep would have planned.
         let mut list = std::mem::take(&mut self.plan_list);
-        for &r32 in &list {
-            let r = r32 as usize;
-            self.plan_in[r] = false;
+        for &lr32 in &list {
+            let lr = lr32 as usize;
+            let r = lr + self.r0;
+            self.plan_in[lr] = false;
             for local in 0..self.pn {
                 for vc in 0..self.cfg.injection_vcs {
-                    // Split borrows: the head lives in `inj`, congestion
+                    // Split borrows: the head lives in the arena, congestion
                     // state in `out_credit`/`rng`/boards.
-                    let router = &mut self.routers[r];
-                    let Some(head) = router.inj[local].head(vc) else {
+                    let router = &mut self.routers[lr];
+                    let Some(h) = router.inj[local].head(vc) else {
                         continue;
                     };
+                    let head = &self.arena[h];
                     if head.planned {
                         continue;
                     }
@@ -1534,7 +1567,7 @@ impl Network {
                             class,
                         )
                     };
-                    let head = router.inj[local].head_mut(vc).expect("head");
+                    let head = &mut self.arena[h];
                     head.plan = plan;
                     head.min_routed = min_routed;
                     head.derouted = !min_routed;
@@ -1572,16 +1605,16 @@ impl Network {
         // at scale.
         let mut reqs: [Option<Decision>; 16] = [None; 16];
         while li < list.len() {
-            let r = list[li] as usize;
-            if self.queued[r] == 0 {
-                self.alloc_in[r] = false;
+            let lr = list[li] as usize;
+            if self.queued[lr] == 0 {
+                self.alloc_in[lr] = false;
                 list.swap_remove(li);
                 continue;
             }
             li += 1;
             // Settled this cycle: an earlier round proved zero nominations
             // under a mutation-free policy, so this round is a no-op too.
-            if self.settled[r] == now {
+            if self.settled[lr] == now {
                 continue;
             }
             // Candidate scratch is cleared *selectively* (only slots set
@@ -1595,7 +1628,7 @@ impl Network {
             // space fits a 64-bit mask (always, for our topologies) only
             // occupied ports are visited at all.
             let use_mask = n_in <= 64;
-            let mut occupied = if use_mask { self.in_mask[r] } else { 0 };
+            let mut occupied = if use_mask { self.in_mask[lr] } else { 0 };
             // Fallback cursor for (hypothetical) routers wider than 64
             // unified inputs: visit everything; the per-port queued check
             // below still skips empty banks.
@@ -1616,7 +1649,7 @@ impl Network {
                     lin_idx += 1;
                     lin_idx - 1
                 };
-                if self.in_busy[r * n_in + in_idx] > now {
+                if self.in_busy[lr * n_in + in_idx] > now {
                     continue;
                 }
                 let mut req_mask: u32 = 0;
@@ -1626,15 +1659,15 @@ impl Network {
                 // VC-level skip: only VCs with queued packets (tracked in
                 // `vc_mask`, bank untouched) are evaluated; VCs >= 16 were
                 // never evaluated by the original sweep either.
-                let mut vc_bits = self.vc_mask[r * n_in + in_idx];
+                let mut vc_bits = self.vc_mask[lr * n_in + in_idx];
                 while vc_bits != 0 {
                     let vc = vc_bits.trailing_zeros() as usize;
                     vc_bits &= vc_bits - 1;
                     debug_assert!(vc < self.vcs_by_in[in_idx] as usize);
-                    let sl = (r * n_in + in_idx) * 16 + vc;
+                    let sl = (lr * n_in + in_idx) * 16 + vc;
                     if self.vc_skip_until[sl] > now
                         || self.vc_skip_epoch[sl]
-                            == self.port_epoch[r * pp + self.vc_skip_port[sl] as usize]
+                            == self.port_epoch[lr * pp + self.vc_skip_port[sl] as usize]
                     {
                         // Memoized rejection: provably still `None` — the
                         // recorded deadline has not passed, or no event
@@ -1644,15 +1677,15 @@ impl Network {
                         // grant requires an acceptance, and an acceptance
                         // requires the deadline to expire or the epoch to
                         // move past the recorded value first.
-                        debug_assert!(self.evaluate_head(r, in_idx, vc, now).is_none());
+                        debug_assert!(self.evaluate_head(lr, in_idx, vc, now).is_none());
                         continue;
                     }
                     self.eval_mutated_here = false;
-                    if let Some(d) = self.evaluate_head(r, in_idx, vc, now) {
+                    if let Some(d) = self.evaluate_head(lr, in_idx, vc, now) {
                         reqs[vc] = Some(d);
                         req_mask |= 1 << vc;
                         if self.qos_active
-                            && self.head_tclass(r, in_idx, vc) == TrafficClass::Control
+                            && self.head_tclass(lr, in_idx, vc) == TrafficClass::Control
                         {
                             ctrl_mask |= 1 << vc;
                         }
@@ -1679,7 +1712,7 @@ impl Network {
                                 // beyond, until the port sees an event.
                                 self.vc_skip_until[sl] = now + 1;
                                 self.vc_skip_port[sl] = port;
-                                self.vc_skip_epoch[sl] = self.port_epoch[r * pp + port as usize];
+                                self.vc_skip_epoch[sl] = self.port_epoch[lr * pp + port as usize];
                             }
                         }
                     }
@@ -1693,7 +1726,7 @@ impl Network {
                 // one bulk nomination goes through and the counter resets,
                 // so bulk always makes progress.
                 let grant_mask = if self.qos_active && ctrl_mask != 0 && ctrl_mask != req_mask {
-                    let slot = r * n_in + in_idx;
+                    let slot = lr * n_in + in_idx;
                     if self.bypass_in[slot] >= self.bypass_bound {
                         self.bypass_in[slot] = 0;
                         req_mask & !ctrl_mask
@@ -1704,7 +1737,7 @@ impl Network {
                 } else {
                     req_mask
                 };
-                let router = &mut self.routers[r];
+                let router = &mut self.routers[lr];
                 if let Some(vc) = router.in_arb[in_idx].grant(|v| grant_mask & (1 << v) != 0) {
                     let d = reqs[vc].expect("granted request");
                     cand[in_idx] = Some((vc as u8, d));
@@ -1720,7 +1753,7 @@ impl Network {
                 // allocation round of this cycle must reproduce the same
                 // empty outcome: settle the router until the next cycle.
                 if self.can_settle && !self.eval_mutated {
-                    self.settled[r] = now;
+                    self.settled[lr] = now;
                 }
                 continue; // stages 1.5/2 would be no-ops
             }
@@ -1730,8 +1763,8 @@ impl Network {
                 let in_idx = cand_set[ci] as usize;
                 if let Some((vc, Decision::Eject { channel })) = cand[in_idx] {
                     cand[in_idx] = None;
-                    if self.eject_busy[r * self.pn * 2 + channel as usize] <= now {
-                        self.grant_eject(r, in_idx, vc as usize, channel as usize, now);
+                    if self.eject_busy[lr * self.pn * 2 + channel as usize] <= now {
+                        self.grant_eject(lr, in_idx, vc as usize, channel as usize, now);
                     }
                 }
             }
@@ -1755,7 +1788,7 @@ impl Network {
                     let ii = in_idx16 as usize;
                     if ii < 64 {
                         if let Some((vc, Decision::Forward { .. })) = cand[ii] {
-                            if self.head_tclass(r, ii, vc as usize) == TrafficClass::Control {
+                            if self.head_tclass(lr, ii, vc as usize) == TrafficClass::Control {
                                 ctrl_in |= 1 << ii;
                             }
                         }
@@ -1781,7 +1814,7 @@ impl Network {
                         }
                     }
                     if has_ctrl && has_bulk {
-                        let slot = r * pp + port;
+                        let slot = lr * pp + port;
                         if self.bypass_out[slot] >= self.bypass_bound {
                             self.bypass_out[slot] = 0;
                             want_ctrl = Some(false);
@@ -1791,7 +1824,7 @@ impl Network {
                         }
                     }
                 }
-                let winner = self.routers[r].out_arb[port].grant(|in_idx| {
+                let winner = self.routers[lr].out_arb[port].grant(|in_idx| {
                     matches!(cand[in_idx], Some((_, Decision::Forward { port: p, .. })) if p as usize == port)
                         && want_ctrl
                             .is_none_or(|w| (in_idx < 64 && (ctrl_in >> in_idx) & 1 == 1) == w)
@@ -1804,7 +1837,7 @@ impl Network {
                         pos,
                     } = d
                     {
-                        self.grant_forward(r, in_idx, vc as usize, port, out_vc, pos, now);
+                        self.grant_forward(lr, in_idx, vc as usize, port, out_vc, pos, now);
                     }
                 }
             }
@@ -1819,40 +1852,46 @@ impl Network {
         self.ports_scratch = ports_scratch;
     }
 
-    /// Traffic class of the head of `(r, in_idx, vc)` (QoS arbitration;
-    /// empty VCs read as bulk, but are never consulted).
+    /// Bank of unified input `in_idx` (network port or injection) at local
+    /// router `lr`.
     #[inline]
-    fn head_tclass(&self, r: usize, in_idx: usize, vc: usize) -> TrafficClass {
-        let router = &self.routers[r];
-        let head = if in_idx < self.pp {
-            router.inputs[in_idx].head(vc)
+    fn bank(&self, lr: usize, in_idx: usize) -> &BufferBank {
+        let router = &self.routers[lr];
+        if in_idx < self.pp {
+            &router.inputs[in_idx]
         } else {
-            router.inj[in_idx - self.pp].head(vc)
-        };
-        head.map_or(TrafficClass::Bulk, |h| h.tclass)
+            &router.inj[in_idx - self.pp]
+        }
     }
 
-    /// Evaluate the head of one input VC; may mutate the packet (planning
-    /// reversion, PAR divert).
-    fn evaluate_head(&mut self, r: usize, in_idx: usize, vc: usize, now: u64) -> Option<Decision> {
+    /// Traffic class of the head of `(lr, in_idx, vc)` (QoS arbitration;
+    /// empty VCs read as bulk, but are never consulted).
+    #[inline]
+    fn head_tclass(&self, lr: usize, in_idx: usize, vc: usize) -> TrafficClass {
+        self.bank(lr, in_idx)
+            .head(vc)
+            .map_or(TrafficClass::Bulk, |h| self.arena[h].tclass)
+    }
+
+    /// Evaluate the head of one input VC at local router `lr`; may mutate
+    /// the packet (planning reversion, PAR divert).
+    fn evaluate_head(&mut self, lr: usize, in_idx: usize, vc: usize, now: u64) -> Option<Decision> {
         let pp = self.pp;
         let size = self.cfg.packet_size;
-        let is_injection = in_idx >= pp;
+        let r = lr + self.r0;
         self.eval_block = EvalBlock::Never;
+        // Evaluation mutates the head in place, never the queue: the handle
+        // stays valid throughout.
+        let h = self.bank(lr, in_idx).head(vc)?;
 
         // In-transit routing decisions (PAR divert, DAL per-dimension
         // misroute, adaptive copy re-selection) may replace the plan; they
         // only run for arrived, planned heads, so pre-read those facts.
         // Without transit decisions the same checks run on the fused head
-        // read inside the loop below instead (one bank lookup, not two).
+        // read inside the loop below instead.
         if self.transit_decisions {
             {
-                let router = &self.routers[r];
-                let head = if is_injection {
-                    router.inj[in_idx - pp].head(vc)?
-                } else {
-                    router.inputs[in_idx].head(vc)?
-                };
+                let head = &self.arena[h];
                 if head.head_arrival > now {
                     self.eval_block = EvalBlock::Until(head.head_arrival);
                     return None;
@@ -1862,18 +1901,14 @@ impl Network {
                     return None;
                 }
             }
-            self.transit_decide(r, in_idx, vc, now);
+            self.transit_decide(lr, in_idx, h);
         }
 
         // Forwarding evaluation with at most one reversion.
         let mut reverted = false;
         loop {
-            let router = &self.routers[r];
-            let head = if is_injection {
-                router.inj[in_idx - pp].head(vc)?
-            } else {
-                router.inputs[in_idx].head(vc)?
-            };
+            let router = &self.routers[lr];
+            let head = &self.arena[h];
             if !self.transit_decisions && !reverted {
                 if head.head_arrival > now {
                     // Cut-through eligibility is time-pure.
@@ -1896,7 +1931,8 @@ impl Network {
                 // full cannot consume further requests until replies drain.
                 if self.cfg.workload.is_reactive()
                     && head.class == MessageClass::Request
-                    && self.staging[head.dst as usize].len() >= self.cfg.reply_queue_packets
+                    && self.staging[head.dst as usize - self.n0].len()
+                        >= self.cfg.reply_queue_packets
                 {
                     // Staging drains only in next cycle's generation pass.
                     self.eval_block = EvalBlock::Until(now + 1);
@@ -1904,7 +1940,7 @@ impl Network {
                 }
                 let local = head.dst as usize - self.node_base[r] as usize;
                 let channel = (local * 2 + head.class.index()) as u16;
-                let busy = self.eject_busy[r * self.pn * 2 + channel as usize];
+                let busy = self.eject_busy[lr * self.pn * 2 + channel as usize];
                 return if busy <= now {
                     Some(Decision::Eject { channel })
                 } else {
@@ -1917,7 +1953,7 @@ impl Network {
             let port = hop.port as usize;
             let pclass = self.port_class[port];
             // Output-side structural checks.
-            let xbar_until = self.out_xbar[r * pp + port];
+            let xbar_until = self.out_xbar[lr * pp + port];
             if xbar_until > now {
                 // Time-pure: the crossbar frees at a known cycle (the
                 // caller memoizes the deadline; reverted heads never
@@ -1925,7 +1961,7 @@ impl Network {
                 self.eval_block = EvalBlock::Until(xbar_until);
                 return None;
             }
-            if self.out_occ[r * pp + port] + size > self.cfg.buffers.output {
+            if self.out_occ[lr * pp + port] + size > self.cfg.buffers.output {
                 // Improves only on an output-buffer release event.
                 self.eval_block = EvalBlock::Event(port as u16);
                 return None;
@@ -1935,7 +1971,7 @@ impl Network {
                 // fit inside its phit quota of the downstream buffer.
                 // Improves on a same-port credit return or a repartition in
                 // this class's favor (memoization is disabled under QoS).
-                let qslot = (r * pp + port) * 2 + head.tclass.index();
+                let qslot = (lr * pp + port) * 2 + head.tclass.index();
                 if self.cls_occ[qslot] + size > self.cls_quota[qslot] {
                     self.eval_block = EvalBlock::Event(port as u16);
                     return None;
@@ -2020,13 +2056,7 @@ impl Network {
                         }
                         None => {
                             let computed = fresh_opts(head);
-                            let router = &mut self.routers[r];
-                            let head = if is_injection {
-                                router.inj[in_idx - pp].head_mut(vc)?
-                            } else {
-                                router.inputs[in_idx].head_mut(vc)?
-                            };
-                            head.flex_opts = Some(computed);
+                            self.arena[h].flex_opts = Some(computed);
                             computed
                         }
                     };
@@ -2035,15 +2065,14 @@ impl Network {
                     // subset under class-partitioned VC budgets (whose
                     // per-class deadlock safety `check_qos` proved).
                     let qmask = if self.qos_active {
-                        let t = self.head_tclass(r, in_idx, vc);
+                        let t = self.arena[h].tclass;
                         self.qos_masks[pclass.index()][t.index()]
                     } else {
                         u32::MAX
                     };
                     // Re-establish the read borrows dropped for the cache
                     // write above.
-                    let router = &self.routers[r];
-                    let credit = &router.out_credit[port];
+                    let credit = &self.routers[lr].out_credit[port];
                     if let Some(opts) = opts {
                         let mut cands: [(usize, usize); 16] = [(0, 0); 16];
                         let mut nc = 0;
@@ -2083,7 +2112,7 @@ impl Network {
                             }
                         }
                         if nc > 0 {
-                            let router = &mut self.routers[r];
+                            let router = &mut self.routers[lr];
                             let pick = self
                                 .cfg
                                 .selection
@@ -2108,12 +2137,7 @@ impl Network {
                         let patience = self.cfg.revert_patience;
                         self.eval_mutated = true;
                         self.eval_mutated_here = true;
-                        let router = &mut self.routers[r];
-                        let head = if is_injection {
-                            router.inj[in_idx - pp].head_mut(vc)?
-                        } else {
-                            router.inputs[in_idx].head_mut(vc)?
-                        };
+                        let head = &mut self.arena[h];
                         if head.opp_blocked < patience {
                             head.opp_blocked += 1;
                             return None;
@@ -2129,12 +2153,7 @@ impl Network {
                     self.eval_mutated = true;
                     self.eval_mutated_here = true;
                     let plan = min_plan(&*self.topo, r, dst_r);
-                    let router = &mut self.routers[r];
-                    let head = if is_injection {
-                        router.inj[in_idx - pp].head_mut(vc)?
-                    } else {
-                        router.inputs[in_idx].head_mut(vc)?
-                    };
+                    let head = &mut self.arena[h];
                     head.plan = plan;
                     head.min_routed = true;
                     head.reverts += 1;
@@ -2148,24 +2167,14 @@ impl Network {
     /// In-transit decision point: hand the head to the routing policy
     /// (PAR divert, DAL per-dimension misroute, adaptive copy
     /// re-selection) with the router-local sensed state.
-    fn transit_decide(&mut self, r: usize, in_idx: usize, vc: usize, _now: u64) {
-        let pp = self.pp;
-        let is_injection = in_idx >= pp;
+    fn transit_decide(&mut self, lr: usize, in_idx: usize, h: PktHandle) {
+        let is_injection = in_idx >= self.pp;
         let in_class = if is_injection {
             LinkClass::Local
         } else {
             self.port_class[in_idx]
         };
-        let topo = Arc::clone(&self.topo);
-        let router = &mut self.routers[r];
-        let head = if is_injection {
-            router.inj[in_idx - pp].head_mut(vc)
-        } else {
-            router.inputs[in_idx].head_mut(vc)
-        };
-        let Some(head) = head else {
-            return;
-        };
+        let router = &mut self.routers[lr];
         let sense = SenseView {
             out_credit: &router.out_credit,
             boards: &self.boards,
@@ -2176,11 +2185,11 @@ impl Network {
             port_class: &self.port_class,
         };
         self.policy.transit_update(
-            &*topo,
+            &*self.topo,
             &sense,
             &mut router.rng,
-            r,
-            head,
+            lr + self.r0,
+            &mut self.arena[h],
             is_injection,
             in_class,
         );
@@ -2194,7 +2203,7 @@ impl Network {
     #[allow(clippy::too_many_arguments)]
     fn return_credit(
         &mut self,
-        r: usize,
+        lr: usize,
         in_idx: usize,
         vc_in: usize,
         phits: u32,
@@ -2207,7 +2216,7 @@ impl Network {
         if in_idx >= pp {
             return; // injection queues are node-local: no upstream link
         }
-        let Some((ur, up)) = self.adj[r * pp + in_idx] else {
+        let Some((ur, up)) = self.adj[(lr + self.r0) * pp + in_idx] else {
             return;
         };
         let lat = self.latency_of(self.port_class[in_idx]);
@@ -2231,7 +2240,8 @@ impl Network {
     }
 
     /// Schedule the credit-drain wheel for a credit arriving on link `lid`
-    /// at cycle `at`, batching per link per cycle: `deliver` pops *every*
+    /// (owned by this instance's router the credit returns to) at cycle
+    /// `at`, batching per link per cycle: `deliver` pops *every*
     /// credit due at `at` from one wheel entry, so a second entry for the
     /// same (link, cycle) would drain nothing — skip pushing it. Credit
     /// arrivals are monotonic per link (asserted in `LinkState`), so a
@@ -2240,8 +2250,9 @@ impl Network {
     fn schedule_credit(&mut self, now: u64, at: u64, lid: usize) {
         #[cfg(debug_assertions)]
         self.shadow_cred.schedule(now, at, lid as u32);
-        if self.cred_sched[lid] != at {
-            self.cred_sched[lid] = at;
+        let llid = lid - self.r0 * self.pp;
+        if self.cred_sched[llid] != at {
+            self.cred_sched[llid] = at;
             self.cred_wheel.schedule(now, at, lid as u32);
         }
     }
@@ -2249,7 +2260,7 @@ impl Network {
     #[allow(clippy::too_many_arguments)] // a grant is naturally 7-tuple-shaped
     fn grant_forward(
         &mut self,
-        r: usize,
+        lr: usize,
         in_idx: usize,
         vc_in: usize,
         port: u16,
@@ -2260,12 +2271,13 @@ impl Network {
         let pp = self.pp;
         let size = self.cfg.packet_size;
         let dur = size.div_ceil(self.cfg.speedup);
-        let router = &mut self.routers[r];
-        let mut pkt = if in_idx < pp {
-            router.inputs[in_idx].pop(vc_in)
+        let router = &mut self.routers[lr];
+        let h = if in_idx < pp {
+            router.inputs[in_idx].pop(vc_in, &self.arena)
         } else {
-            router.inj[in_idx - pp].pop(vc_in)
+            router.inj[in_idx - pp].pop(vc_in, &self.arena)
         };
+        let pkt = &mut self.arena[h];
         let released_class = pkt.buffered_class;
         let released_tclass = pkt.tclass;
         // Injection transfers serialize at link rate (the node-to-router
@@ -2276,21 +2288,24 @@ impl Network {
         } else {
             now + size as u64
         };
-        self.in_busy[r * (pp + self.pn) + in_idx] = t_c;
-        self.out_xbar[r * pp + port as usize] = t_c;
+        pkt.position = Some(pos);
+        pkt.plan.advance();
+        pkt.hops += 1;
         router.out_credit[port as usize].add(out_vc as usize, size, pkt.credit_class());
-        self.out_occ[r * pp + port as usize] += size;
+        self.in_busy[lr * (pp + self.pn) + in_idx] = t_c;
+        self.out_xbar[lr * pp + port as usize] = t_c;
+        self.out_occ[lr * pp + port as usize] += size;
         if self.repart {
             // The head's class now occupies part of the downstream buffer;
             // released when its credit returns (the credit carries the
             // class).
-            self.cls_occ[(r * pp + port as usize) * 2 + released_tclass.index()] += size;
+            self.cls_occ[(lr * pp + port as usize) * 2 + released_tclass.index()] += size;
         }
         self.rel_wheel.schedule(
             now,
             t_c,
             (
-                r as u32,
+                lr as u32,
                 Pending::Input {
                     at: t_c,
                     in_idx: in_idx as u32,
@@ -2300,17 +2315,14 @@ impl Network {
                 },
             ),
         );
-        pkt.position = Some(pos);
-        pkt.plan.advance();
-        pkt.hops += 1;
         router.out_queue[port as usize].push_back(OutPkt {
-            pkt,
+            pkt: h,
             ready_at: now + self.cfg.pipeline_latency as u64,
             vc: out_vc,
         });
         // Return the credit for the buffer we just vacated.
         self.return_credit(
-            r,
+            lr,
             in_idx,
             vc_in,
             size,
@@ -2319,54 +2331,61 @@ impl Network {
             t_c,
             now,
         );
-        self.queued[r] -= 1;
-        {
-            let router = &self.routers[r];
-            let bank = if in_idx < pp {
-                &router.inputs[in_idx]
-            } else {
-                &router.inj[in_idx - pp]
-            };
-            if vc_in < 16 && bank.vc_len(vc_in) == 0 {
-                self.vc_mask[r * (pp + self.pn) + in_idx] &= !(1 << vc_in);
-            }
-            if bank.queued_packets() == 0 && in_idx < 64 {
-                self.in_mask[r] &= !(1 << in_idx);
-            }
-        }
-        if in_idx >= pp {
-            // The next injection-queue packet (if any) becomes an
-            // unplanned head.
-            mark(&mut self.plan_list, &mut self.plan_in, r);
-        }
-        mark(&mut self.out_list, &mut self.out_in, r * pp + port as usize);
+        self.dequeued(lr, in_idx, vc_in);
+        mark(
+            &mut self.out_list,
+            &mut self.out_in,
+            lr * pp + port as usize,
+        );
         if !self.boards.is_empty()
             && (self.sense_all || self.port_class[port as usize] == LinkClass::Global)
         {
-            mark(&mut self.sense_list, &mut self.sense_in, r);
+            mark(&mut self.sense_list, &mut self.sense_in, lr);
         }
         self.last_progress = now;
     }
 
-    fn grant_eject(&mut self, r: usize, in_idx: usize, vc_in: usize, channel: usize, now: u64) {
+    /// Active-set bookkeeping after a grant popped the head of `(lr,
+    /// in_idx, vc_in)`: clear emptied VC and port bits, and re-plan an
+    /// injection queue whose successor just became its head.
+    fn dequeued(&mut self, lr: usize, in_idx: usize, vc_in: usize) {
+        let n_in = self.pp + self.pn;
+        self.queued[lr] -= 1;
+        let bank = self.bank(lr, in_idx);
+        let (vc_empty, port_empty) = (bank.vc_len(vc_in) == 0, bank.queued_packets() == 0);
+        if vc_in < 16 && vc_empty {
+            self.vc_mask[lr * n_in + in_idx] &= !(1 << vc_in);
+        }
+        if port_empty && in_idx < 64 {
+            self.in_mask[lr] &= !(1 << in_idx);
+        }
+        if in_idx >= self.pp {
+            // The next injection-queue packet (if any) becomes an
+            // unplanned head.
+            mark(&mut self.plan_list, &mut self.plan_in, lr);
+        }
+    }
+
+    fn grant_eject(&mut self, lr: usize, in_idx: usize, vc_in: usize, channel: usize, now: u64) {
         let pp = self.pp;
         let size = self.cfg.packet_size;
-        let router = &mut self.routers[r];
-        let pkt = if in_idx < pp {
-            router.inputs[in_idx].pop(vc_in)
+        let router = &mut self.routers[lr];
+        let h = if in_idx < pp {
+            router.inputs[in_idx].pop(vc_in, &self.arena)
         } else {
-            router.inj[in_idx - pp].pop(vc_in)
+            router.inj[in_idx - pp].pop(vc_in, &self.arena)
         };
+        let pkt = self.arena.remove(h);
         let released_class = pkt.buffered_class;
         let done = now + size as u64; // 1 phit/cycle consumption
         let t_c = done.max(pkt.tail_arrival + 1);
-        self.in_busy[r * (pp + self.pn) + in_idx] = t_c;
-        self.eject_busy[r * self.pn * 2 + channel] = t_c;
+        self.in_busy[lr * (pp + self.pn) + in_idx] = t_c;
+        self.eject_busy[lr * self.pn * 2 + channel] = t_c;
         self.rel_wheel.schedule(
             now,
             t_c,
             (
-                r as u32,
+                lr as u32,
                 Pending::Input {
                     at: t_c,
                     in_idx: in_idx as u32,
@@ -2376,25 +2395,17 @@ impl Network {
                 },
             ),
         );
-        self.return_credit(r, in_idx, vc_in, size, released_class, pkt.tclass, t_c, now);
-        self.queued[r] -= 1;
-        {
-            let router = &self.routers[r];
-            let bank = if in_idx < pp {
-                &router.inputs[in_idx]
-            } else {
-                &router.inj[in_idx - pp]
-            };
-            if vc_in < 16 && bank.vc_len(vc_in) == 0 {
-                self.vc_mask[r * (pp + self.pn) + in_idx] &= !(1 << vc_in);
-            }
-            if bank.queued_packets() == 0 && in_idx < 64 {
-                self.in_mask[r] &= !(1 << in_idx);
-            }
-        }
-        if in_idx >= pp {
-            mark(&mut self.plan_list, &mut self.plan_in, r);
-        }
+        self.return_credit(
+            lr,
+            in_idx,
+            vc_in,
+            size,
+            released_class,
+            pkt.tclass,
+            t_c,
+            now,
+        );
+        self.dequeued(lr, in_idx, vc_in);
         self.in_flight -= 1;
         self.last_progress = now;
         if self.in_window(now) {
@@ -2423,7 +2434,7 @@ impl Network {
         // Reactive: the destination answers with a reply once the request
         // has fully arrived.
         if self.cfg.workload.is_reactive() && pkt.class == MessageClass::Request {
-            self.staging[pkt.dst as usize].push_back((pkt.src, done));
+            self.staging[pkt.dst as usize - self.n0].push_back((pkt.src, done));
         }
     }
 
@@ -2438,10 +2449,11 @@ impl Network {
         let mut list = std::mem::take(&mut self.out_list);
         let mut li = 0;
         while li < list.len() {
-            let lid = list[li] as usize;
-            let (r, port) = (lid / pp, lid % pp);
-            if self.routers[r].out_queue[port].is_empty() {
-                self.out_in[lid] = false;
+            let llid = list[li] as usize;
+            let (lr, port) = (llid / pp, llid % pp);
+            let lid = llid + self.r0 * pp;
+            if self.routers[lr].out_queue[port].is_empty() {
+                self.out_in[llid] = false;
                 list.swap_remove(li);
                 continue;
             }
@@ -2450,44 +2462,50 @@ impl Network {
                 continue;
             }
             let lat = self.latency_of(self.port_class[port]);
-            let router = &mut self.routers[r];
+            let router = &mut self.routers[lr];
             let front = router.out_queue[port].front().expect("non-empty checked");
             if front.ready_at > now {
                 continue;
             }
             let out = router.out_queue[port].pop_front().expect("front exists");
-            let size = out.pkt.size;
+            let size = self.arena[out.pkt].size;
             let foreign_rx =
                 self.sharded && !self.owns(self.adj[lid].expect("transmitting link is wired").0);
             if foreign_rx {
                 // The receiving router lives on another shard: keep the
-                // serialization state (`busy_until`) here, ship the
-                // in-flight record to the receiver's link replica — with
-                // the packet's flow tag, whose table entry moves to the
-                // receiving shard (the flow ejects there). Its head
+                // serialization state (`busy_until`) here, and ship the
+                // in-flight record to the receiver's link replica with the
+                // packet itself, which leaves this arena for the
+                // receiver's, and its flow tag, whose table entry moves to
+                // the receiving shard (the flow ejects there). Its head
                 // arrives at `now + lat`, beyond this cycle, so delivery
                 // timing is identical to the local path.
+                let flight = self.links[lid].transmit_boundary(now, lat, out.vc, out.pkt, size);
+                let packet = self.arena.remove(out.pkt);
                 let flow = if self.has_flows {
-                    self.flow_tags.remove(&(out.pkt.src, out.pkt.id))
+                    self.flow_tags.remove(&(packet.src, packet.id))
                 } else {
                     None
                 };
-                let flight = self.links[lid].transmit_boundary(now, lat, out.vc, out.pkt);
                 self.outbox.push(BoundaryEvent {
                     at: flight.head_arrival,
                     lid: lid as u32,
                     dst: self.adj[lid].expect("wired").0,
-                    payload: BoundaryPayload::Packet { flight, flow },
+                    payload: BoundaryPayload::Packet {
+                        flight,
+                        packet,
+                        flow,
+                    },
                 });
             } else {
-                self.links[lid].transmit(now, lat, out.vc, out.pkt);
+                self.links[lid].transmit(now, lat, out.vc, out.pkt, size);
                 self.pkt_wheel.schedule(now, now + lat as u64, lid as u32);
             }
             self.rel_wheel.schedule(
                 now,
                 now + size as u64,
                 (
-                    r as u32,
+                    lr as u32,
                     Pending::OutBuf {
                         at: now + size as u64,
                         port: port as u16,
@@ -2523,15 +2541,16 @@ impl Network {
         let mut list = std::mem::take(&mut self.sense_list);
         let mut occs = std::mem::take(&mut self.occ_scratch);
         let mut flags = std::mem::take(&mut self.flag_scratch);
-        for &r32 in &list {
-            let r = r32 as usize;
-            self.sense_in[r] = false;
+        for &lr32 in &list {
+            let lr = lr32 as usize;
+            let r = lr + self.r0;
+            self.sense_in[lr] = false;
             let group = self.topo.group_of_router(r);
             let local = r - group * rpg;
             for &class in classes {
                 occs.clear();
                 occs.extend(self.sense_ports.iter().map(|&gp| {
-                    let credit = &self.routers[r].out_credit[gp];
+                    let credit = &self.routers[lr].out_credit[gp];
                     match self.cfg.sensing.mode {
                         SensingMode::PerPort => {
                             if min_cred {

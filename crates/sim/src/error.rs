@@ -116,6 +116,17 @@ pub enum ConfigError {
         /// What is wrong with the QoS specification.
         why: &'static str,
     },
+    /// A pre-built topology handed to `with_topology` does not have the
+    /// shape `cfg.topology` describes.
+    TopologyMismatch {
+        /// The count that differs (`routers`, `ports per router` or
+        /// `nodes per router`).
+        what: &'static str,
+        /// The count `cfg.topology` describes.
+        expected: usize,
+        /// The count of the topology instance.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -208,6 +219,15 @@ impl fmt::Display for ConfigError {
             ConfigError::QosInvalidParam { why } => {
                 write!(f, "invalid QoS parameter: {why}")
             }
+            ConfigError::TopologyMismatch {
+                what,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "shared topology does not match the configuration: \
+                 {actual} {what}, expected {expected}"
+            ),
         }
     }
 }

@@ -4,16 +4,22 @@
 //! at one per cycle; a packet transmitted from cycle `t0` delivers its head
 //! at `t0 + latency` and its tail at `t0 + latency + size − 1`. Credits flow
 //! on the reverse direction with the same latency.
+//!
+//! A link's packet ring holds [`PktHandle`]s into the packet arena of the
+//! engine that receives them, not packets, and both rings start empty and
+//! grow to their own high-water mark. A packet whose receiver lives on
+//! another shard leaves the sender's arena at transmit and travels by
+//! value (see `crate::shard`).
 
-use crate::packet::Packet;
+use crate::bank::PktHandle;
 use flexvc_core::{CreditClass, TrafficClass};
 use std::collections::VecDeque;
 
 /// A packet in flight on a link.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct InFlight {
-    /// The packet itself.
-    pub packet: Packet,
+    /// The packet's handle in the owning engine's arena.
+    pub pkt: PktHandle,
     /// Destination VC at the receiving input port.
     pub vc: u8,
     /// Cycle the head phit arrives downstream.
@@ -50,34 +56,15 @@ pub struct LinkState {
 }
 
 impl LinkState {
-    /// A link with both rings preallocated for the expected in-flight
-    /// population (≈ latency / packet serialization time), so steady-state
-    /// traffic never grows them.
-    pub fn with_capacity(in_flight: usize) -> Self {
-        LinkState {
-            packets: VecDeque::with_capacity(in_flight),
-            credits: VecDeque::with_capacity(in_flight),
-            busy_until: 0,
-        }
-    }
-    /// Begin transmitting `packet` at cycle `now` toward input VC `vc`
-    /// downstream. Returns the tail-arrival cycle.
-    pub fn transmit(&mut self, now: u64, latency: u32, vc: u8, packet: Packet) -> u64 {
-        debug_assert!(self.busy_until <= now, "link already serializing");
-        let size = packet.size as u64;
-        self.busy_until = now + size;
-        let head_arrival = now + latency as u64;
-        let tail_arrival = head_arrival + size - 1;
-        self.packets.push_back(InFlight {
-            packet,
-            vc,
-            head_arrival,
-            tail_arrival,
-        });
-        tail_arrival
+    /// Begin transmitting packet `pkt` of `size` phits at cycle `now`
+    /// toward input VC `vc` downstream. Returns the tail-arrival cycle.
+    pub fn transmit(&mut self, now: u64, latency: u32, vc: u8, pkt: PktHandle, size: u32) -> u64 {
+        let flight = self.transmit_boundary(now, latency, vc, pkt, size);
+        self.packets.push_back(flight);
+        flight.tail_arrival
     }
 
-    /// Begin transmitting `packet` at cycle `now` across a shard boundary.
+    /// Begin transmitting `pkt` at cycle `now` across a shard boundary.
     ///
     /// Identical to [`LinkState::transmit`] except the [`InFlight`] record is
     /// *returned* instead of queued locally: the transmitting shard keeps only
@@ -89,18 +76,18 @@ impl LinkState {
         now: u64,
         latency: u32,
         vc: u8,
-        packet: Packet,
+        pkt: PktHandle,
+        size: u32,
     ) -> InFlight {
         debug_assert!(self.busy_until <= now, "link already serializing");
-        let size = packet.size as u64;
+        let size = size as u64;
         self.busy_until = now + size;
         let head_arrival = now + latency as u64;
-        let tail_arrival = head_arrival + size - 1;
         InFlight {
-            packet,
+            pkt,
             vc,
             head_arrival,
-            tail_arrival,
+            tail_arrival: head_arrival + size - 1,
         }
     }
 
@@ -201,48 +188,19 @@ impl LinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PlannedPath;
-    use flexvc_core::MessageClass;
-
-    fn pkt(id: u64, size: u32) -> Packet {
-        Packet {
-            id,
-            src: 0,
-            dst: 1,
-            dst_router: 0,
-            class: MessageClass::Request,
-            tclass: TrafficClass::Bulk,
-            size,
-            gen_cycle: 0,
-            head_arrival: 0,
-            tail_arrival: 0,
-            position: None,
-            plan: PlannedPath::empty(),
-            min_routed: true,
-            derouted: false,
-            buffered_class: CreditClass::MinRouted,
-            planned: true,
-            par_evaluated: false,
-            hop_decided: false,
-            flex_opts: None,
-            opp_blocked: 0,
-            hops: 0,
-            reverts: 0,
-        }
-    }
 
     #[test]
     fn transmit_timing() {
         let mut link = LinkState::default();
         assert!(link.is_free(0));
-        let tail = link.transmit(10, 100, 0, pkt(1, 8));
+        let tail = link.transmit(10, 100, 0, 1, 8);
         assert_eq!(tail, 10 + 100 + 7);
         assert!(!link.is_free(10));
         assert!(!link.is_free(17));
         assert!(link.is_free(18)); // 8 phits serialized
         assert!(link.pop_arrived(109).is_none());
         let f = link.pop_arrived(110).unwrap();
-        assert_eq!(f.packet.id, 1);
+        assert_eq!(f.pkt, 1);
         assert_eq!(f.head_arrival, 110);
         assert_eq!(f.tail_arrival, 117);
     }
@@ -250,11 +208,11 @@ mod tests {
     #[test]
     fn packets_arrive_in_order() {
         let mut link = LinkState::default();
-        link.transmit(0, 10, 0, pkt(1, 8));
-        link.transmit(8, 10, 1, pkt(2, 8));
-        assert_eq!(link.pop_arrived(10).unwrap().packet.id, 1);
+        link.transmit(0, 10, 0, 1, 8);
+        link.transmit(8, 10, 1, 2, 8);
+        assert_eq!(link.pop_arrived(10).unwrap().pkt, 1);
         assert!(link.pop_arrived(17).is_none());
-        assert_eq!(link.pop_arrived(18).unwrap().packet.id, 2);
+        assert_eq!(link.pop_arrived(18).unwrap().pkt, 2);
     }
 
     #[test]
@@ -276,12 +234,5 @@ mod tests {
         let mut link = LinkState::default();
         link.send_credit(20, 10, 1, 8, CreditClass::MinRouted, TrafficClass::Bulk);
         link.send_credit(5, 10, 0, 8, CreditClass::NonMinRouted, TrafficClass::Bulk);
-    }
-
-    #[test]
-    fn with_capacity_preallocates() {
-        let link = LinkState::with_capacity(16);
-        assert!(link.packets.capacity() >= 16);
-        assert!(link.credits.capacity() >= 16);
     }
 }

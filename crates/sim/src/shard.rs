@@ -3,10 +3,18 @@
 //! A [`ShardedNetwork`] partitions the routers of one simulation across N
 //! worker shards — distinct from the [`crate::runner`]'s *per-point*
 //! threading, which parallelizes independent simulations. Each shard is a
-//! full [`Network`] instance that owns a contiguous router range: its
-//! routers' timing wheels, worklists, buffer banks and credit mirrors live
-//! only there, while the flat pools keep global indexing (foreign slots
-//! exist but are empty and never touched).
+//! [`Network`] instance that owns a contiguous router range and builds
+//! state only for it: banks, arbiters, credit mirrors, output queues,
+//! memo slots, node generators and reply staging exist for owned routers
+//! and nodes alone, indexed by local id. Link ids, adjacency and the
+//! Piggyback boards stay global; a link replica the shard never uses is an
+//! empty `LinkState` that allocates nothing.
+//!
+//! Each shard stores its packets in its own packet arena. A packet leaves
+//! the sender's arena when it is transmitted across a cut, travels by
+//! value inside its boundary event, and is written into the receiver's
+//! arena when the event is applied, so at every exchange each packet is
+//! held by exactly one shard.
 //!
 //! # The boundary exchange
 //!
@@ -15,8 +23,8 @@
 //! The only effects that cross a shard cut are:
 //!
 //! * **packet transmits** whose receiving router is foreign — the
-//!   [`InFlight`] record ships to the receiver's link replica, arriving at
-//!   `now + latency`;
+//!   [`InFlight`] record and the packet ship to the receiver's link
+//!   replica, arriving at `now + latency`;
 //! * **credit returns** whose upstream router is foreign — the credit
 //!   arrives at `t_c + latency`, strictly beyond the current cycle;
 //! * **Piggyback board publishes** — replicated to every shard's board
@@ -118,6 +126,7 @@ use crate::engine::Network;
 use crate::error::ConfigError;
 use crate::link::InFlight;
 use crate::metrics::{Metrics, SimResult};
+use crate::packet::Packet;
 use flexvc_core::{CreditClass, MessageClass, TrafficClass};
 use flexvc_topology::Topology;
 use std::ops::Range;
@@ -147,8 +156,11 @@ pub(crate) enum BoundaryPayload {
     /// flow tag (if any): flow identity lives in an engine-side table, so
     /// the tag migrates to the shard that will eject the packet.
     Packet {
-        /// The in-flight link record.
+        /// The in-flight link record; the receiver replaces its handle with
+        /// one from its own arena.
         flight: InFlight,
+        /// The packet itself, moved out of the sender's arena.
+        packet: Packet,
         /// The packet's flow tag under flow workloads.
         flow: Option<flexvc_traffic::FlowTag>,
     },
@@ -439,7 +451,8 @@ impl ShardedNetwork {
     }
 
     /// Like [`ShardedNetwork::new`] with a pre-built topology (shared, not
-    /// rebuilt per shard or per sweep point).
+    /// rebuilt per shard or per sweep point). A topology that does not match
+    /// `cfg.topology` fails with [`ConfigError::TopologyMismatch`].
     pub fn with_topology(
         cfg: SimConfig,
         load: f64,
@@ -447,6 +460,7 @@ impl ShardedNetwork {
         topo: Arc<dyn Topology>,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        cfg.topology.check_instance(topo.as_ref())?;
         Ok(Self::build(cfg, load, seed, topo))
     }
 
@@ -502,6 +516,14 @@ impl ShardedNetwork {
     /// Packets currently in queues, buffers or links, network-wide.
     pub fn packets_in_flight(&self) -> i64 {
         self.shards.iter().map(|s| s.packets_in_flight()).sum()
+    }
+
+    /// Packets stored in each shard's packet arena. Once `run` or `drain`
+    /// returns, their sum equals [`ShardedNetwork::packets_in_flight`]:
+    /// every boundary event has been applied, so each packet is held by
+    /// exactly one shard.
+    pub fn arena_live(&self) -> Vec<usize> {
+        self.shards.iter().map(Network::arena_live).collect()
     }
 
     /// The epoch cap λ: the most cycles any shard may free-run between

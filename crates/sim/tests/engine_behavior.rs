@@ -339,3 +339,71 @@ fn flexvc_opportunistic_3_2_reverts_under_pressure() {
         "opportunistic VAL at saturation should revert sometimes"
     );
 }
+
+/// A shared topology whose shape differs from `cfg.topology` is a typed
+/// error, not a silent run of the wrong network.
+fn mismatched_topology() -> (SimConfig, std::sync::Arc<dyn flexvc_topology::Topology>) {
+    let cfg =
+        SimConfig::dragonfly_baseline(8, RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
+    let h2 =
+        SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
+    (cfg, h2.topology.build())
+}
+
+#[test]
+fn network_with_topology_rejects_mismatched_topology() {
+    let (cfg, topo) = mismatched_topology();
+    let err = Network::with_topology(cfg, 0.3, 1, topo)
+        .err()
+        .expect("mismatch rejected");
+    assert_eq!(
+        err,
+        ConfigError::TopologyMismatch {
+            what: "routers",
+            expected: 2_064,
+            actual: 36,
+        }
+    );
+}
+
+#[test]
+fn sharded_with_topology_rejects_mismatched_topology() {
+    let (mut cfg, topo) = mismatched_topology();
+    cfg.shards = 2;
+    let err = ShardedNetwork::with_topology(cfg, 0.3, 1, topo)
+        .err()
+        .expect("mismatch rejected");
+    assert!(
+        matches!(
+            err,
+            ConfigError::TopologyMismatch {
+                what: "routers",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    // Same router count, different ports per router: a 6x6 HyperX
+    // against a 36-router h = 2 Dragonfly.
+    let mut hx = SimConfig::hyperx_baseline(
+        2,
+        6,
+        2,
+        RoutingMode::Min,
+        Workload::oblivious(Pattern::Uniform),
+    );
+    hx.shards = 2;
+    let df =
+        SimConfig::dragonfly_baseline(2, RoutingMode::Min, Workload::oblivious(Pattern::Uniform));
+    let err = ShardedNetwork::with_topology(hx, 0.3, 1, df.topology.build())
+        .err()
+        .expect("mismatch rejected");
+    assert_eq!(
+        err,
+        ConfigError::TopologyMismatch {
+            what: "ports per router",
+            expected: 10,
+            actual: 5,
+        }
+    );
+}

@@ -732,3 +732,46 @@ fn engine_reproduces_pre_refactor_snapshots() {
         assert_eq!(r.slowdown_mean, g.slowdown_mean, "{}", ctx("slowdown_mean"));
     }
 }
+
+/// Packet conservation through the engines' packet arenas: on every golden
+/// point at shards {1, 2, 3, 4}, the arenas together hold exactly the
+/// packets in flight after the run and after the drain, and once the drain
+/// reports nothing pending no arena holds a live packet. (Debug builds
+/// also check every cycle that each arena matches its banks, output queues
+/// and link rings.)
+#[test]
+fn drained_engines_hold_no_packets() {
+    for (name, cfg, load, seed) in points() {
+        for shards in [1, 2, 3, 4] {
+            let mut sharded_cfg = cfg.clone();
+            sharded_cfg.shards = shards;
+            let mut net = ShardedNetwork::new(sharded_cfg, load, seed)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            net.run();
+            let live = |net: &ShardedNetwork| net.arena_live().iter().sum::<usize>() as i64;
+            assert_eq!(
+                live(&net),
+                net.packets_in_flight(),
+                "{name}: shards={shards}: arenas out of step after the run"
+            );
+            let pending = net.drain(50_000);
+            assert_eq!(
+                live(&net),
+                net.packets_in_flight(),
+                "{name}: shards={shards}: arenas out of step after the drain"
+            );
+            if pending == 0 {
+                assert_eq!(
+                    net.arena_live(),
+                    vec![0; shards],
+                    "{name}: shards={shards}: drained engines still hold packets"
+                );
+            } else {
+                assert!(
+                    net.deadlocked(),
+                    "{name}: shards={shards}: drain left {pending} packets without a deadlock"
+                );
+            }
+        }
+    }
+}
